@@ -39,15 +39,11 @@ def hpwl_of(design, cell_x: np.ndarray, cell_y: np.ndarray) -> float:
 def check_placement(design, product) -> tuple[list[str], int]:
     """Legality of a placement product for the *unplaced* input design.
 
-    Movable cells lie on rows and do not overlap each other within a
-    row; fixed cells did not move; the HPWL recomputed from pin positions
-    equals the reported final HPWL.  Returns the failures and the number
-    of *spilled* movable cells: those outside the die or over a fixed
-    cell.  The legaliser documents such spills as its fallback for an
-    overfull die, and it also spills on hotspot designs at 44-52 %
-    utilisation, on some seeds and not others; they are counted, not
-    failed, so a run's share of failed operations does not depend on the
-    seed.
+    Movable cells lie inside the die and on rows, and overlap neither
+    each other within a row nor a fixed cell; fixed cells did not move;
+    the HPWL recomputed from pin positions equals the reported final
+    HPWL.  Returns the failures and the number of *spilled* movable
+    cells, those outside the die or over a fixed cell.
     """
     errors = []
     x, y = np.asarray(product.cell_x), np.asarray(product.cell_y)
@@ -75,11 +71,15 @@ def check_placement(design, product) -> tuple[list[str], int]:
     oy = (np.minimum(my[:, None] + mh[:, None], fy + fh)
           - np.maximum(my[:, None], fy))
     over_fixed = ((ox > _TOL) & (oy > _TOL)).any(axis=1)
+    spilled = int((outside | over_fixed).sum())
+    if spilled:
+        errors.append(f"{design.name}: {spilled} movable cells outside "
+                      "the die or over a fixed cell")
     recomputed = hpwl_of(design, x, y)
     if not np.isclose(recomputed, product.hpwl_final, rtol=1e-9, atol=_TOL):
         errors.append(f"{design.name}: reported HPWL {product.hpwl_final} "
                       f"!= recomputed {recomputed}")
-    return errors, int((outside | over_fixed).sum())
+    return errors, spilled
 
 
 def routed_wirelength(routing) -> float:

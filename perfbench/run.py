@@ -53,7 +53,7 @@ def parse_args(argv=None):
 def run_rounds(workload, seconds: float, tracer):
     """Time rounds until the next would end past ``seconds``."""
     from repro.pipeline import STAGE_CALLS
-    rounds, failed_ops, errors, attempted = [], set(), [], 0
+    rounds, failed_ops, errors, run_errors, attempted = [], set(), [], [], 0
     stage_calls = Counter()
     start = perf_counter()
     # Traced runs: round 0 (untraced) also pays the process's first-time
@@ -72,7 +72,7 @@ def run_rounds(workload, seconds: float, tracer):
             ops, pending = workload.run_round(index)
         except Exception:  # a round that raises fails; report and go on
             traceback.print_exc()
-            ops, pending = 1, [lambda: [("round", "raised")]]
+            ops, pending = 1, [lambda: [("round", "the round raised")]]
         finally:
             wall, cpu = perf_counter() - t0, process_time() - c0
             if traced:
@@ -86,14 +86,18 @@ def run_rounds(workload, seconds: float, tracer):
         attempted += ops
         for check in pending:
             for op_id, message in check():
-                failed_ops.add((index, op_id))
-                errors.append(message)
+                if op_id is None:
+                    run_errors.append(message)
+                else:
+                    failed_ops.add((index, op_id))
+                    errors.append(message)
         pending = None  # free the round's outputs before the next round
         elapsed = perf_counter() - start
         typical = statistics.median(r["wall_s"] for r in rounds)
         if len(rounds) >= min_rounds and elapsed + typical > seconds:
             break
-    return rounds, attempted, len(failed_ops), errors, stage_calls
+    return (rounds, attempted, len(failed_ops), errors, run_errors,
+            stage_calls)
 
 
 def main(argv=None) -> int:
@@ -127,9 +131,11 @@ def run(args, workdir: str) -> dict:
     workload = WORKLOADS[args.workload](args.seed, workdir)
     setup_s = import_s + statistics.median(workload.setup())
     tracer = Tracer() if args.trace else None
-    rounds, attempted, failed, errors, stage_calls = run_rounds(
+    rounds, attempted, failed, errors, run_errors, stage_calls = run_rounds(
         workload, args.seconds, tracer)
-    for message in errors:
+    for message in sorted(set(errors)):
+        print(f"OPERATION FAILED: {message}", file=sys.stderr)
+    for message in run_errors:
         print(f"CHECK FAILED: {message}", file=sys.stderr)
 
     untraced = [r for r in rounds if not r["traced"]]
@@ -160,7 +166,8 @@ def run(args, workdir: str) -> dict:
         print(f"{args.workload:18s} {name:32s} {value:16.6f} {unit}")
     print(f"{args.workload:18s} rounds {len(rounds)} attempted {attempted} "
           f"failed {failed}")
-    return {"correct": not errors, "attempted": attempted, "failed": failed,
+    return {"correct": not run_errors, "attempted": attempted,
+            "failed": failed,
             "metrics": {name: {"value": float(value), "unit": unit}
                         for name, (value, unit) in values.items()}}
 

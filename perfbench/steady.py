@@ -1,7 +1,8 @@
 """Steadiness of the end-to-end metrics over repeated runs.
 
-Runs every workload ``--runs`` times, each run in a fresh process with
-its own seed, rotating the workload order from one pass to the next so
+Runs every workload of ``BENCHMARK.json`` ``--runs`` times for its
+``run_seconds``, each run in a fresh process with its own seed (1, 2,
+...), rotating the workload order from one pass to the next so
 no workload always follows the same neighbour.  For every end-to-end
 metric it prints the median, the quartiles, the quartile spread as a
 share of the median, and the largest difference between the medians of
@@ -48,22 +49,18 @@ def main(argv=None) -> int:
         bench = json.load(fh)
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=bench["run_seconds"])
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--workloads", default=",".join(
-        w["name"] for w in bench["workloads"]))
     args = parser.parse_args(argv)
     if args.runs < 4:
         parser.error("--runs must be at least 4 for quartiles of halves")
-    names = args.workloads.split(",")
+    names = [w["name"] for w in bench["workloads"]]
     results = {name: [] for name in names}
     for k in range(args.runs):
         order = names[k % len(names):] + names[:k % len(names)]
         for name in order:
-            result = one_run(name, args.first_seed + k, args.seconds)
+            result = one_run(name, k + 1, bench["run_seconds"])
             results[name].append(result)
-            print(f"run {k} {name} seed {args.first_seed + k}: "
-                  f"{json.dumps(result)}", flush=True)
+            print(f"run {k} {name} seed {k + 1}: {json.dumps(result)}",
+                  flush=True)
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     report = {}
     for name, runs in results.items():
